@@ -136,7 +136,8 @@ void RunReload(const bench::Args& args) {
     if (!first.ok()) std::exit(1);
     ServingOptions options;
     options.num_workers = 2;
-    ServingEngine engine(std::move(*first), options);
+    ServingEngine engine(ShardedIndex::FromIndex(std::move(*first)),
+                         options);
     const double mmap_ms = bench::TimeMs([&] {
       if (!engine.Reload(path, /*use_mmap=*/true).ok()) std::exit(1);
     });

@@ -946,27 +946,28 @@ int CmdServe(int argc, char** argv) {
   options.cache_bytes = static_cast<size_t>(flags.cache_mb) << 20;
   options.max_pending = static_cast<int32_t>(flags.max_pending);
 
-  std::unique_ptr<pti::ServingEngine> engine;
+  // A substring index is served as a one-shard sharded index.
+  pti::ShardedIndex index;
   switch (*kind) {
     case pti::serde::IndexKind::kSubstring: {
-      auto index = pti::SubstringIndex::Load(blob->view(), blob);
-      if (!index.ok()) return Fail(index.status().ToString());
-      engine.reset(
-          new pti::ServingEngine(std::move(index).value(), options));
+      auto mono = pti::SubstringIndex::Load(blob->view(), blob);
+      if (!mono.ok()) return Fail(mono.status().ToString());
+      index = pti::ShardedIndex::FromIndex(std::move(mono).value());
       break;
     }
     case pti::serde::IndexKind::kSharded: {
-      auto index = pti::ShardedIndex::Load(
+      auto sharded = pti::ShardedIndex::Load(
           blob->view(), static_cast<int32_t>(flags.threads), blob);
-      if (!index.ok()) return Fail(index.status().ToString());
-      engine.reset(
-          new pti::ServingEngine(std::move(index).value(), options));
+      if (!sharded.ok()) return Fail(sharded.status().ToString());
+      index = std::move(sharded).value();
       break;
     }
     default:
       return Fail("serve requires a substring or sharded index, got a " +
                   std::string(pti::serde::KindName(*kind)) + " index");
   }
+  const auto engine =
+      std::make_unique<pti::ServingEngine>(std::move(index), options);
 
   if (listen_mode) {
     return RunServeListener(engine.get(), static_cast<int32_t>(flags.listen));

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/substring_index.h"
 #include "util/bounded_queue.h"
 #include "util/lru_cache.h"
 #include "util/thread_pool.h"
@@ -104,59 +105,17 @@ struct ServingEngine::Impl {
     std::unordered_map<std::string, std::shared_ptr<Pending>> inflight;
   };
 
-  // One immutable loaded index. The engine points at the current generation
-  // through a shared_ptr swapped under gen_mu by Reload; a worker pins the
-  // generation right after popping a batch, so every request in a
-  // micro-batch is answered by one index — and an old generation (with its
-  // mmap backing, if any) is destroyed only after the last such batch
-  // drains.
-  struct Generation {
-    ShardedIndex sharded;
-    SubstringIndex mono;
-    bool use_sharded = false;
-
-    Status ExecuteBatch(const std::vector<BatchQuery>& queries,
-                        std::vector<std::vector<Match>>* out) const {
-      return use_sharded ? sharded.QueryBatch(queries, out)
-                         : mono.QueryBatch(queries, out);
-    }
-
-    Status ExecuteOne(const std::string& pattern, double tau,
-                      std::vector<Match>* out) const {
-      return use_sharded ? sharded.Query(pattern, tau, out)
-                         : mono.Query(pattern, tau, out);
-    }
-
-    Status ExecuteFuzzyBatch(const std::vector<FuzzyBatchQuery>& queries,
-                             std::vector<std::vector<Match>>* out) const {
-      return use_sharded ? sharded.QueryFuzzyBatch(queries, out)
-                         : mono.QueryFuzzyBatch(queries, out);
-    }
-
-    Status ExecuteFuzzyOne(const std::string& pattern, double tau,
-                           const FuzzyParams& params,
-                           std::vector<Match>* out) const {
-      return use_sharded ? sharded.QueryFuzzy(pattern, tau, params, out)
-                         : mono.QueryFuzzy(pattern, tau, params, out);
-    }
-  };
-
-  Impl(ShardedIndex s, SubstringIndex m, bool is_sharded,
-       const ServingOptions& opts)
+  Impl(ShardedIndex index, const ServingOptions& opts)
       : options(Resolve(opts)),
         cache(options.cache_bytes, options.cache_shards),
         interactive_lane(static_cast<size_t>(options.max_pending)),
         batch_lane(static_cast<size_t>(options.max_pending)),
+        generation(std::make_shared<const ShardedIndex>(std::move(index))),
         pool(options.num_workers) {
     stripes.reserve(static_cast<size_t>(options.admission_stripes));
     for (int32_t i = 0; i < options.admission_stripes; ++i) {
       stripes.push_back(std::make_unique<Stripe>());
     }
-    auto gen = std::make_shared<Generation>();
-    gen->sharded = std::move(s);
-    gen->mono = std::move(m);
-    gen->use_sharded = is_sharded;
-    generation = std::move(gen);
     for (int32_t w = 0; w < options.num_workers; ++w) {
       pool.Submit([this] { WorkerLoop(); });
     }
@@ -194,7 +153,7 @@ struct ServingEngine::Impl {
   // freed — unmapped, for an mmap-backed load — when its last batch drains.
   // Requests merged onto an in-flight execution intentionally share its
   // (old-generation) answer: they joined that execution.
-  void Swap(std::shared_ptr<const Generation> next) {
+  void Swap(std::shared_ptr<const ShardedIndex> next) {
     {
       std::lock_guard<std::mutex> lock(gen_mu);
       generation = std::move(next);
@@ -256,7 +215,7 @@ struct ServingEngine::Impl {
         });
         continue;
       }
-      std::shared_ptr<const Generation> gen;
+      std::shared_ptr<const ShardedIndex> gen;
       {
         // Pin one generation for the whole batch: every request in it is
         // answered by one index, and a concurrent Reload cannot free that
@@ -272,7 +231,7 @@ struct ServingEngine::Impl {
   // goes through its own batched path (each is all-or-nothing on
   // validation, with per-request fallback), so a fuzzy request's invalid
   // input cannot fail exact batch-mates and vice versa.
-  void RunBatch(const Generation& gen,
+  void RunBatch(const ShardedIndex& gen,
                 const std::vector<std::shared_ptr<Pending>>& batch) {
     std::vector<std::shared_ptr<Pending>> exact;
     std::vector<std::shared_ptr<Pending>> fuzzy;
@@ -281,7 +240,7 @@ struct ServingEngine::Impl {
     if (!fuzzy.empty()) RunFuzzySubset(gen, fuzzy);
   }
 
-  void RunExactSubset(const Generation& gen,
+  void RunExactSubset(const ShardedIndex& gen,
                       const std::vector<std::shared_ptr<Pending>>& batch) {
     std::vector<BatchQuery> queries;
     queries.reserve(batch.size());
@@ -289,7 +248,7 @@ struct ServingEngine::Impl {
       queries.push_back({r->request.pattern, r->request.tau});
     }
     std::vector<std::vector<Match>> results;
-    const Status st = gen.ExecuteBatch(queries, &results);
+    const Status st = gen.QueryBatch(queries, &results);
     batches.fetch_add(1, std::memory_order_relaxed);
     // Each request lands in exactly one execution counter: batched_queries
     // when the batched path answered it, fallback_queries when validation
@@ -307,13 +266,13 @@ struct ServingEngine::Impl {
     for (const auto& r : batch) {
       Result result;
       result.status =
-          gen.ExecuteOne(r->request.pattern, r->request.tau, &result.matches);
+          gen.Query(r->request.pattern, r->request.tau, &result.matches);
       fallback_queries.fetch_add(1, std::memory_order_relaxed);
       Fulfill(*r, std::move(result));
     }
   }
 
-  void RunFuzzySubset(const Generation& gen,
+  void RunFuzzySubset(const ShardedIndex& gen,
                       const std::vector<std::shared_ptr<Pending>>& batch) {
     std::vector<FuzzyBatchQuery> queries;
     queries.reserve(batch.size());
@@ -322,7 +281,7 @@ struct ServingEngine::Impl {
                          FuzzyParams{r->request.k, r->request.metric}});
     }
     std::vector<std::vector<Match>> results;
-    const Status st = gen.ExecuteFuzzyBatch(queries, &results);
+    const Status st = gen.QueryFuzzyBatch(queries, &results);
     batches.fetch_add(1, std::memory_order_relaxed);
     if (st.ok()) {
       batched_queries.fetch_add(batch.size(), std::memory_order_relaxed);
@@ -333,7 +292,7 @@ struct ServingEngine::Impl {
     }
     for (const auto& r : batch) {
       Result result;
-      result.status = gen.ExecuteFuzzyOne(
+      result.status = gen.QueryFuzzy(
           r->request.pattern, r->request.tau,
           FuzzyParams{r->request.k, r->request.metric}, &result.matches);
       fallback_queries.fetch_add(1, std::memory_order_relaxed);
@@ -384,7 +343,7 @@ struct ServingEngine::Impl {
   // written by Reload). shared_ptr keeps drained-from generations alive
   // off-lock.
   std::mutex gen_mu;
-  std::shared_ptr<const Generation> generation;
+  std::shared_ptr<const ShardedIndex> generation;
   uint64_t generation_number = 1;  // guarded by gen_mu
 
   // Two-phase stop (see Stop()): admission_closed turns every later Submit
@@ -416,13 +375,7 @@ struct ServingEngine::Impl {
 };
 
 ServingEngine::ServingEngine(ShardedIndex index, const ServingOptions& options)
-    : impl_(new Impl(std::move(index), SubstringIndex(), /*is_sharded=*/true,
-                     options)) {}
-
-ServingEngine::ServingEngine(SubstringIndex index,
-                             const ServingOptions& options)
-    : impl_(new Impl(ShardedIndex(), std::move(index), /*is_sharded=*/false,
-                     options)) {}
+    : impl_(new Impl(std::move(index), options)) {}
 
 ServingEngine::~ServingEngine() {
   Stop();
@@ -538,18 +491,7 @@ std::vector<std::future<ServingEngine::Result>> ServingEngine::SubmitBatch(
 }
 
 Status ServingEngine::Reload(ShardedIndex index) {
-  auto gen = std::make_shared<Impl::Generation>();
-  gen->sharded = std::move(index);
-  gen->use_sharded = true;
-  impl_->Swap(std::move(gen));
-  return Status::OK();
-}
-
-Status ServingEngine::Reload(SubstringIndex index) {
-  auto gen = std::make_shared<Impl::Generation>();
-  gen->mono = std::move(index);
-  gen->use_sharded = false;
-  impl_->Swap(std::move(gen));
+  impl_->Swap(std::make_shared<const ShardedIndex>(std::move(index)));
   return Status::OK();
 }
 
@@ -561,19 +503,17 @@ Status ServingEngine::Reload(const std::string& path, bool use_mmap) {
       use_mmap ? serde::MapFile(path) : serde::ReadFileToBlob(path));
   const std::string_view data = blob->view();
   PTI_ASSIGN_OR_RETURN(const serde::IndexKind kind, serde::PeekKind(data));
-  auto gen = std::make_shared<Impl::Generation>();
+  ShardedIndex index;
   if (kind == serde::IndexKind::kSharded) {
-    PTI_ASSIGN_OR_RETURN(gen->sharded, ShardedIndex::Load(data, 0, blob));
-    gen->use_sharded = true;
+    PTI_ASSIGN_OR_RETURN(index, ShardedIndex::Load(data, 0, blob));
   } else if (kind == serde::IndexKind::kSubstring) {
-    PTI_ASSIGN_OR_RETURN(gen->mono, SubstringIndex::Load(data, blob));
-    gen->use_sharded = false;
+    PTI_ASSIGN_OR_RETURN(SubstringIndex mono, SubstringIndex::Load(data, blob));
+    index = ShardedIndex::FromIndex(std::move(mono));
   } else {
     return Status::InvalidArgument(
         "serving engine reloads substring or sharded containers only");
   }
-  impl_->Swap(std::move(gen));
-  return Status::OK();
+  return Reload(std::move(index));
 }
 
 void ServingEngine::Stop() {

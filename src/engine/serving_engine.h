@@ -1,14 +1,20 @@
-// ServingEngine: the asynchronous request-queue front end over the query
-// engine — one process serving many concurrent clients (ROADMAP: async
-// serving front end + shard-level caching + admission control).
+// ServingEngine: the asynchronous request-queue front end over one
+// ShardedIndex — one process serving many concurrent clients (ROADMAP:
+// async serving front end + shard-level caching + admission control).
+//
+// The engine serves one index shape. A K-shard build is served as built; a
+// monolithic index is wrapped as a one-shard ShardedIndex
+// (ShardedIndex::FromIndex), which answers exactly as the index it wraps,
+// with no rebuild, no copy and no merge. Reload(path) wraps a substring
+// container the same way.
 //
 // Clients call Submit(Request) — Request (engine/request.h) carries
 // (pattern, tau, metric, k, priority) and defaults to an exact interactive
 // query — and get a std::future<Result>; worker threads (from a
 // util/thread_pool.h pool owned by the engine) drain the pending lanes in
-// micro-batches and answer through the batched query path, so concurrent
-// traffic recovers the same locus-descent / backward-search sharing that
-// SubstringIndex::QueryBatch gives a single caller:
+// micro-batches and answer through ShardedIndex::QueryBatch, which runs
+// every shard's batched path, so concurrent traffic recovers the same
+// locus-descent / backward-search sharing a single batched caller gets:
 //
 //   clients ──Submit(Request)──▶ admission stripe (hash of key)
 //      │            │  in flight? ──▶ attach to the existing execution
@@ -18,6 +24,7 @@
 //      │                      └──coalesce (≤max_batch,─▶ first, then  │
 //      ▼                         ≤linger_us wait)      │ batch        │
 //   future<Result> ◀── fulfil ◀── LRU cache ◀──────────┴── QueryBatch ┘
+//                                                      (K shards, K ≥ 1)
 //
 // Admission control (the part PR 5 left to the caller) is now built in:
 //   * the pending queue is bounded per lane (ServingOptions::max_pending);
@@ -56,11 +63,9 @@
 #include <future>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/match.h"
-#include "core/substring_index.h"
 #include "engine/request.h"
 #include "engine/sharded_index.h"
 #include "util/span.h"
@@ -141,11 +146,8 @@ class ServingEngine {
     uint64_t generation = 0;       ///< current index generation (starts at 1)
   };
 
-  /// Serve a sharded index (the intended production shape).
+  /// Serves `index`; wrap a monolithic index with ShardedIndex::FromIndex.
   explicit ServingEngine(ShardedIndex index,
-                         const ServingOptions& options = {});
-  /// Serve a monolithic index (small deployments, tests).
-  explicit ServingEngine(SubstringIndex index,
                          const ServingOptions& options = {});
   /// Stops and drains: blocks until every accepted request is answered.
   ~ServingEngine();
@@ -166,58 +168,6 @@ class ServingEngine {
   /// requests[i]. (Accepts a std::vector<Request> implicitly via Span.)
   std::vector<std::future<Result>> SubmitBatch(Span<const Request> requests);
 
-  // ---- Deprecated PR-5 surface: thin shims over Submit(Request), kept for
-  // one PR so out-of-tree embedders can migrate. All in-repo callers are on
-  // Submit(Request) / SubmitBatch(Span<const Request>).
-
-  [[deprecated("use Submit(Request)")]] std::future<Result> Submit(
-      std::string pattern, double tau) {
-    Request request;
-    request.pattern = std::move(pattern);
-    request.tau = tau;
-    return Submit(std::move(request));
-  }
-
-  [[deprecated("use SubmitBatch(Span<const Request>)")]] std::vector<
-      std::future<Result>>
-  SubmitBatch(const std::vector<BatchQuery>& queries) {
-    std::vector<std::future<Result>> futures;
-    futures.reserve(queries.size());
-    for (const auto& q : queries) {
-      Request request;
-      request.pattern = q.pattern;
-      request.tau = q.tau;
-      futures.push_back(Submit(std::move(request)));
-    }
-    return futures;
-  }
-
-  [[deprecated("use Submit(Request) with metric/k set")]] std::future<Result>
-  SubmitFuzzy(std::string pattern, double tau, const FuzzyParams& params) {
-    Request request;
-    request.pattern = std::move(pattern);
-    request.tau = tau;
-    request.metric = params.metric;
-    request.k = params.k;
-    return Submit(std::move(request));
-  }
-
-  [[deprecated("use SubmitBatch(Span<const Request>)")]] std::vector<
-      std::future<Result>>
-  SubmitFuzzyBatch(const std::vector<FuzzyBatchQuery>& queries) {
-    std::vector<std::future<Result>> futures;
-    futures.reserve(queries.size());
-    for (const auto& q : queries) {
-      Request request;
-      request.pattern = q.pattern;
-      request.tau = q.tau;
-      request.metric = q.params.metric;
-      request.k = q.params.k;
-      futures.push_back(Submit(std::move(request)));
-    }
-    return futures;
-  }
-
   /// Atomically replaces the served index with an already-built one.
   /// In-flight micro-batches finish on the generation they started with
   /// (their futures resolve against the old index — never lost, never
@@ -225,12 +175,14 @@ class ServingEngine {
   /// result cache is cleared. The old generation — including any mmap
   /// backing — is freed once its last batch drains.
   Status Reload(ShardedIndex index);
-  Status Reload(SubstringIndex index);
 
-  /// Loads `path` (substring or sharded container; mmap'd zero-copy when
-  /// use_mmap, read into memory otherwise) and swaps it in as above. On any
-  /// load/validation failure the engine keeps serving the old generation
-  /// untouched and returns the error.
+  /// Loads `path` (a sharded container, or a substring container served as
+  /// one shard; mmap'd zero-copy when use_mmap, read into memory otherwise)
+  /// and swaps it in as above. On any load/validation failure the engine
+  /// keeps serving the old generation untouched and returns the error.
+  /// A mapped file must be replaced by writing a new file and renaming it
+  /// over the path, never truncated or rewritten in place: the pages of a
+  /// generation still being served would vanish under it (SIGBUS).
   Status Reload(const std::string& path, bool use_mmap = true);
 
   /// Stops accepting new requests (they resolve with NotSupported) and lets

@@ -83,6 +83,15 @@ Status MakeSlice(const UncertainString& s, int64_t begin, int64_t end,
   return Status::OK();
 }
 
+// The slice overlap in effect for a string of n positions: the request,
+// or kDefaultOverlap when it is 0, clamped to [0, n-1].
+int32_t ResolveOverlap(int32_t requested, int64_t n) {
+  const int64_t overlap =
+      requested > 0 ? requested : ShardedIndexOptions::kDefaultOverlap;
+  return static_cast<int32_t>(
+      std::max<int64_t>(0, std::min(overlap, std::max<int64_t>(0, n - 1))));
+}
+
 // Same status code, message prefixed with the failing query's index.
 Status PrefixBatchError(const Status& st, size_t i) {
   const std::string msg =
@@ -174,8 +183,13 @@ struct ShardedIndex::Impl {
     }
   }
 
+  // One shard has no slice boundary: it answers every query itself, with
+  // its own validation and no merge copy.
+  bool single() const { return shards.size() == 1; }
+
   Status Query(const std::string& pattern, double tau,
                std::vector<Match>* out) const {
+    if (single()) return shards[0].Query(pattern, tau, out);
     out->clear();
     bool cannot_match = false;
     PTI_RETURN_IF_ERROR(CheckQuery(pattern, tau, &cannot_match));
@@ -231,6 +245,7 @@ struct ShardedIndex::Impl {
 
   Status QueryFuzzy(const std::string& pattern, double tau,
                     const FuzzyParams& params, std::vector<Match>* out) const {
+    if (single()) return shards[0].QueryFuzzy(pattern, tau, params, out);
     out->clear();
     bool cannot_match = false;
     PTI_RETURN_IF_ERROR(CheckFuzzyQuery(pattern, tau, params, &cannot_match));
@@ -245,6 +260,7 @@ struct ShardedIndex::Impl {
 
   Status QueryFuzzyBatch(const std::vector<FuzzyBatchQuery>& queries,
                          std::vector<std::vector<Match>>* out) const {
+    if (single()) return shards[0].QueryFuzzyBatch(queries, out);
     out->clear();
     out->resize(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -276,6 +292,7 @@ struct ShardedIndex::Impl {
 
   Status QueryBatch(const std::vector<BatchQuery>& queries,
                     std::vector<std::vector<Match>>* out) const {
+    if (single()) return shards[0].QueryBatch(queries, out);
     out->clear();
     out->resize(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -332,12 +349,8 @@ StatusOr<ShardedIndex> ShardedIndex::Build(const UncertainString& s,
       1, std::min<int64_t>(
              std::min<int64_t>(num_shards, kMaxPersistedShards),
              std::max<int64_t>(1, n / 2)));
-  int64_t overlap = options.overlap > 0
-                        ? options.overlap
-                        : ShardedIndexOptions::kDefaultOverlap;
-  overlap = std::max<int64_t>(0, std::min(overlap, std::max<int64_t>(0, n - 1)));
   impl.options.num_shards = num_shards;
-  impl.options.overlap = static_cast<int32_t>(overlap);
+  impl.options.overlap = ResolveOverlap(options.overlap, n);
   impl.options.num_threads = ResolveThreadCount(options.num_threads);
 
   impl.begins.resize(num_shards);
@@ -386,6 +399,20 @@ StatusOr<ShardedIndex> ShardedIndex::Build(const UncertainString& s,
     options.build_timings->rmq_ms += t.rmq_ms;
   }
   return index;
+}
+
+ShardedIndex ShardedIndex::FromIndex(SubstringIndex index) {
+  ShardedIndex sharded;
+  sharded.impl_ = std::make_unique<Impl>();
+  Impl& impl = *sharded.impl_;
+  impl.original_length = index.source().size();
+  impl.options.index = index.options();
+  impl.options.num_shards = 1;
+  impl.options.overlap = ResolveOverlap(0, impl.original_length);
+  impl.options.num_threads = 1;
+  impl.begins = {0};
+  impl.shards.push_back(std::move(index));
+  return sharded;
 }
 
 Status ShardedIndex::Query(const std::string& pattern, double tau,

@@ -19,6 +19,12 @@
 // slices cover, so they are rejected with NotSupported — rebuild with a
 // larger overlap to serve them.
 //
+// One shard (K = 1) has no slice boundary: every query goes straight to
+// shard 0, so the overlap length rule does not apply and a K = 1 index
+// answers exactly as the SubstringIndex it wraps — same validation, same
+// statuses, same match vectors. FromIndex wraps an already-built index that
+// way; it is how a monolithic index is served.
+//
 // Correlation rules (§3.3) survive slicing exactly: a rule whose dependency
 // position falls inside the slice is kept (re-based); one whose dependency
 // lies outside can only ever resolve via the paper's case 2 (the dependency
@@ -53,7 +59,8 @@ struct ShardedIndexOptions {
   /// Number of shards; 0 means kDefaultNumShards. Clamped so every shard
   /// owns at least two positions.
   int32_t num_shards = 0;
-  /// Slice overlap in characters; supports patterns up to overlap+1 long.
+  /// Slice overlap in characters; with more than one shard, supports
+  /// patterns up to overlap+1 long (one shard has no length limit).
   /// 0 means min(kDefaultOverlap, n-1).
   int32_t overlap = 0;
   /// Worker threads for construction, Load and batch fan-out; 0 means one
@@ -82,9 +89,15 @@ class ShardedIndex {
   static StatusOr<ShardedIndex> Build(const UncertainString& s,
                                       const ShardedIndexOptions& options = {});
 
+  /// Wraps an already-built index as a one-shard ShardedIndex, without a
+  /// rebuild or a copy. The overlap is resolved as Build resolves a 0
+  /// request (one shard never applies it).
+  static ShardedIndex FromIndex(SubstringIndex index);
+
   /// Reports all positions with occurrence probability >= tau, sorted by
-  /// position — the same contract as SubstringIndex::Query. Fails with
-  /// NotSupported when the pattern is longer than overlap+1.
+  /// position — the same contract as SubstringIndex::Query. With more than
+  /// one shard, fails with NotSupported when the pattern is longer than
+  /// overlap+1.
   Status Query(const std::string& pattern, double tau,
                std::vector<Match>* out) const;
 
@@ -95,12 +108,12 @@ class ShardedIndex {
   Status QueryBatch(const std::vector<BatchQuery>& queries,
                     std::vector<std::vector<Match>>* out) const;
 
-  /// Fuzzy threshold query (core/fuzzy.h), fanned out like Query. The
-  /// overlap length rule widens by k: under kEdit a variant window can be
-  /// params.k longer than the pattern, so patterns longer than
-  /// overlap+1-k are NotSupported (kMismatch variants keep the pattern's
-  /// length and get the exact limit). params.k == 0 is bit-identical to
-  /// Query.
+  /// Fuzzy threshold query (core/fuzzy.h), fanned out like Query. With
+  /// more than one shard the overlap length rule widens by k: under kEdit a
+  /// variant window can be params.k longer than the pattern, so patterns
+  /// longer than overlap+1-k are NotSupported (kMismatch variants keep the
+  /// pattern's length and get the exact limit). params.k == 0 is
+  /// bit-identical to Query.
   Status QueryFuzzy(const std::string& pattern, double tau,
                     const FuzzyParams& params, std::vector<Match>* out) const;
 

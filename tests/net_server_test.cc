@@ -54,7 +54,7 @@ struct LiveServer {
                       ServingOptions engine_options = {},
                       NetServerOptions server_options = {})
       : reference(BuildMono(s)),
-        engine(BuildMono(s), engine_options),
+        engine(ShardedIndex::FromIndex(BuildMono(s)), engine_options),
         server(&engine, server_options) {
     const Status started = server.Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
@@ -417,7 +417,7 @@ TEST(NetServerTest, OversizedResultIsResourceExhaustedNotADisconnect) {
   for (int64_t i = 0; i < n; ++i) {
     s.AddPosition({{static_cast<uint8_t>('a'), 1.0}});
   }
-  ServingEngine engine(BuildMono(s), {});
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), {});
   NetServer server(&engine);
   ASSERT_TRUE(server.Start().ok());
 

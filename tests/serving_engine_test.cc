@@ -135,7 +135,7 @@ TEST(ServingEngineTest, MonolithicResultsIdenticalToSynchronousPath) {
     options.max_batch = 16;
     options.linger_us = 100;
     options.num_workers = 2;
-    ServingEngine engine(std::move(own), options);
+    ServingEngine engine(ShardedIndex::FromIndex(std::move(own)), options);
     auto futures = engine.SubmitBatch(queries);
     ExpectIdentical(expected, &futures, queries);
   }
@@ -202,7 +202,7 @@ TEST(ServingEngineTest, RepeatTrafficIsServedFromTheCache) {
   ServingOptions options;
   options.cache_bytes = size_t{4} << 20;
   options.num_workers = 2;
-  ServingEngine engine(BuildMono(s), options);
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
 
   auto first = engine.SubmitBatch(queries);
   for (auto& f : first) (void)f.get();  // complete pass 1 before pass 2
@@ -235,7 +235,7 @@ TEST(ServingEngineTest, IdenticalInFlightRequestsShareOneExecution) {
   options.linger_us = 5000;    // room for duplicates to pile up
   options.max_batch = 256;
   options.num_workers = 1;
-  ServingEngine engine(BuildMono(s), options);
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
 
   constexpr size_t kDupes = 64;
   std::vector<std::future<ServingEngine::Result>> futures;
@@ -301,7 +301,7 @@ TEST(ServingEngineTest, StopDrainsAcceptedWorkAndRejectsNewWork) {
   ServingOptions options;
   options.linger_us = 2000;
   options.num_workers = 2;
-  ServingEngine engine(BuildMono(s), options);
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
   auto futures = engine.SubmitBatch(queries);
   engine.Stop();
 
@@ -351,7 +351,7 @@ TEST(ServingEngineTest, FuzzyResultsIdenticalToSynchronousPath) {
     options.max_batch = 16;
     options.linger_us = 100;
     options.num_workers = 2;
-    ServingEngine engine(BuildMono(s), options);
+    ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
     auto futures = engine.SubmitBatch(queries);
     ASSERT_EQ(futures.size(), queries.size());
     for (size_t i = 0; i < futures.size(); ++i) {
@@ -406,7 +406,7 @@ TEST(ServingEngineTest, FuzzyCacheKeysAreDistinctFromExactAndShareKZero) {
   ServingOptions options;
   options.cache_bytes = size_t{1} << 20;
   options.num_workers = 1;
-  ServingEngine engine(BuildMono(s), options);
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
 
   // Prime the cache with the exact result.
   (void)engine.Submit({pattern, 0.2}).get();
@@ -448,7 +448,7 @@ TEST(ServingEngineTest, DegenerateCoalescingConfigsStayCorrect) {
   options.linger_us = 0;
   options.num_workers = 1;
   options.cache_bytes = 1 << 16;  // small enough to force evictions
-  ServingEngine engine(BuildMono(s), options);
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
   auto futures = engine.SubmitBatch(queries);
   ExpectIdentical(expected, &futures, queries);
 }
@@ -476,7 +476,8 @@ TEST(ServingEngineAdmissionTest, FullLaneShedsWithUnavailableNotQueueing) {
   const std::string p1 = test::PatternFromString(s, 11, 3, 93);
   const std::string p2 = test::PatternFromString(s, 17, 3, 94);
 
-  ServingEngine engine(BuildMono(s), StalledWorkerOptions(/*max_pending=*/2));
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)),
+                       StalledWorkerOptions(/*max_pending=*/2));
   auto f0 = engine.Submit({p0, 0.2});
   auto f1 = engine.Submit({p1, 0.2});
   EXPECT_EQ(engine.stats().queue_depth, 2u);  // gauge sees the held lane
@@ -517,7 +518,8 @@ TEST(ServingEngineAdmissionTest, BatchLaneShedsWhileInteractiveStaysOpen) {
   const std::string p1 = test::PatternFromString(s, 10, 3, 97);
   const std::string p2 = test::PatternFromString(s, 16, 3, 98);
 
-  ServingEngine engine(BuildMono(s), StalledWorkerOptions(/*max_pending=*/1));
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)),
+                       StalledWorkerOptions(/*max_pending=*/1));
   // Fill the batch lane (bound 1), then overflow it.
   auto b0 = engine.Submit(
       {p0, 0.2, FuzzyMetric::kMismatch, 0, Priority::kBatch});
@@ -548,7 +550,7 @@ TEST(ServingEngineAdmissionTest, UnboundedLaneNeverSheds) {
   // max_pending <= 0 restores the PR-5 embedder contract: everything queues.
   ServingOptions options = StalledWorkerOptions(/*max_pending=*/0);
   options.linger_us = 0;
-  ServingEngine engine(BuildMono(s), options);
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
   auto futures = engine.SubmitBatch(queries);
   for (auto& f : futures) (void)f.get();
   const auto stats = engine.stats();
@@ -588,7 +590,7 @@ TEST(ServingEngineReloadTest, ReloadUnderTrafficLosesNoRequests) {
   options.linger_us = 50;
   options.num_workers = 2;
   options.cache_bytes = 1 << 20;
-  ServingEngine engine(BuildMono(s), options);
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
 
   constexpr size_t kClients = 6;
   std::vector<std::future<ServingEngine::Result>> futures(queries.size());
@@ -599,7 +601,8 @@ TEST(ServingEngineReloadTest, ReloadUnderTrafficLosesNoRequests) {
       auto next =
           SubstringIndex::Load(n % 2 == 0 ? compact_blob : tree_blob);
       EXPECT_TRUE(next.ok()) << next.status().ToString();
-      const Status swapped = engine.Reload(std::move(*next));
+      const Status swapped =
+          engine.Reload(ShardedIndex::FromIndex(std::move(*next)));
       EXPECT_TRUE(swapped.ok()) << swapped.ToString();
       ++n;
       std::this_thread::yield();
@@ -656,7 +659,7 @@ TEST(ServingEngineReloadTest, PathReloadSwapsAndFailedReloadKeepsServing) {
 
   ServingOptions options;
   options.num_workers = 1;
-  ServingEngine engine(BuildMono(s), options);
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
   EXPECT_EQ(engine.stats().generation, 1u);
 
   for (const bool use_mmap : {true, false}) {
@@ -687,6 +690,62 @@ TEST(ServingEngineReloadTest, PathReloadSwapsAndFailedReloadKeepsServing) {
   std::remove(bad_path.c_str());
 }
 
+void WriteBlob(const std::string& path, const std::string& blob) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+// The safe way to replace a served file: write the new container under a
+// temporary name and rename it over the served path. The generation still
+// mapped from the replaced file keeps its pages (rename unlinks the old
+// inode, it does not touch its contents) and answers until Reload(path)
+// maps the new file. Truncating or rewriting the served file in place would
+// instead pull the pages from under the mapping, and the process would die
+// with SIGBUS.
+TEST(ServingEngineReloadTest, RenameOverServedFileThenReload) {
+  const UncertainString s = MakeString(200, 71);
+  SubstringIndex reference = BuildMono(s);
+  const auto queries = Workload(s, 40, 15, 6, 73);
+  const auto expected = SyncResults(reference, queries);
+
+  const std::string path = ::testing::TempDir() + "pti_rename_served.pti";
+  const std::string next_path = path + ".next";
+  {
+    IndexOptions options;
+    options.transform.tau_min = kTauMin;
+    options.compact = true;
+    auto compact = SubstringIndex::Build(s, options);
+    ASSERT_TRUE(compact.ok());
+    std::string blob;
+    ASSERT_TRUE(compact->Save(&blob, 3).ok());
+    WriteBlob(path, blob);
+  }
+
+  ServingOptions options;
+  options.num_workers = 1;
+  options.cache_bytes = 0;  // every answer comes from the served generation
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
+  ASSERT_TRUE(engine.Reload(path, /*use_mmap=*/true).ok());
+  auto before = engine.SubmitBatch(queries);
+  ExpectIdentical(expected, &before, queries);
+
+  std::string tree_blob;
+  ASSERT_TRUE(BuildMono(s).Save(&tree_blob, 3).ok());
+  WriteBlob(next_path, tree_blob);
+  ASSERT_EQ(std::rename(next_path.c_str(), path.c_str()), 0);
+  // Still the mapped generation of the replaced file.
+  auto replaced = engine.SubmitBatch(queries);
+  ExpectIdentical(expected, &replaced, queries);
+
+  ASSERT_TRUE(engine.Reload(path, /*use_mmap=*/true).ok());
+  auto after = engine.SubmitBatch(queries);
+  ExpectIdentical(expected, &after, queries);
+  EXPECT_EQ(engine.stats().generation, 3u);
+
+  std::remove(path.c_str());
+}
+
 // Reload clears the result cache: entries computed against the old
 // generation are never served after a swap (they could be stale if the new
 // index differs), and repeat traffic re-populates against the new one.
@@ -695,7 +754,7 @@ TEST(ServingEngineReloadTest, ReloadClearsTheResultCache) {
   ServingOptions options;
   options.num_workers = 1;
   options.cache_bytes = 1 << 20;
-  ServingEngine engine(BuildMono(s), options);
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
 
   const std::string pattern = test::PatternFromString(s, 3, 4, 52);
   (void)engine.Submit({pattern, 0.2}).get();
@@ -703,7 +762,7 @@ TEST(ServingEngineReloadTest, ReloadClearsTheResultCache) {
   EXPECT_EQ(engine.stats().cache_hits, 1u);
   EXPECT_GT(engine.stats().cache_entries, 0u);
 
-  ASSERT_TRUE(engine.Reload(BuildMono(s)).ok());
+  ASSERT_TRUE(engine.Reload(ShardedIndex::FromIndex(BuildMono(s))).ok());
   EXPECT_EQ(engine.stats().cache_entries, 0u);
   (void)engine.Submit({pattern, 0.2}).get();
   EXPECT_EQ(engine.stats().cache_hits, 1u);  // miss: repopulated, not served
@@ -711,11 +770,12 @@ TEST(ServingEngineReloadTest, ReloadClearsTheResultCache) {
   EXPECT_EQ(engine.stats().cache_hits, 2u);
 }
 
-// Reload accepts a sharded replacement for a monolithic engine (and vice
-// versa): the generation wrapper erases the index shape. Each segment is
-// compared against its own synchronous reference (the sharded fan-out's
-// floating-point summation order differs from the monolithic path in the
-// last bits, so cross-shape results are equal only to tolerance).
+// The engine serves one shape, ShardedIndex, at any shard count: Reload
+// swaps a wrapped monolithic index (K = 1) for a 4-shard build and back.
+// Each segment is compared against its own synchronous reference (a
+// multi-shard build's floating-point summation order differs from the
+// one-shard answer in the last bits, so cross-K results are equal only to
+// tolerance).
 TEST(ServingEngineReloadTest, ReloadSwapsBetweenMonolithicAndSharded) {
   const UncertainString s = MakeString(200, 61);
   SubstringIndex mono_reference = BuildMono(s);
@@ -726,11 +786,11 @@ TEST(ServingEngineReloadTest, ReloadSwapsBetweenMonolithicAndSharded) {
 
   ServingOptions options;
   options.num_workers = 1;
-  ServingEngine engine(BuildMono(s), options);
+  ServingEngine engine(ShardedIndex::FromIndex(BuildMono(s)), options);
   ASSERT_TRUE(engine.Reload(BuildShardedIndex(s, 16)).ok());
   auto futures = engine.SubmitBatch(queries);
   ExpectIdentical(sharded_expected, &futures, queries);
-  ASSERT_TRUE(engine.Reload(BuildMono(s)).ok());
+  ASSERT_TRUE(engine.Reload(ShardedIndex::FromIndex(BuildMono(s))).ok());
   auto futures2 = engine.SubmitBatch(queries);
   ExpectIdentical(mono_expected, &futures2, queries);
 }

@@ -2,8 +2,9 @@
 // every shard edge at every offset of the overlap window), threshold
 // semantics at/below tau_min, randomized agreement against both the
 // monolithic SubstringIndex and the brute-force oracle, correlation rules
-// crossing shard boundaries, parallel-vs-serial build determinism, and
-// Save/Load round-trips of the "SHRD" container.
+// crossing shard boundaries, parallel-vs-serial build determinism,
+// Save/Load round-trips of the "SHRD" container, and the one-shard rule
+// (K = 1 answers exactly as the monolithic index, with no length limit).
 
 #include "engine/sharded_index.h"
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/brute_force.h"
+#include "core/fuzzy.h"
 #include "core/substring_index.h"
 #include "test_util.h"
 
@@ -137,6 +139,123 @@ TEST(ShardedIndexTest, PatternLengthLimits) {
   ASSERT_TRUE(
       index->Query(std::string(25, 'a'), 0.5, &out).ok());
   EXPECT_TRUE(out.empty());
+}
+
+// One shard has no slice boundary, so the overlap length rule does not
+// apply: a K = 1 build with a small overlap answers a pattern longer than
+// overlap+1, and an edit query whose widest variant is longer than the
+// whole string, exactly as the monolithic index and the oracles do.
+TEST(ShardedIndexTest, OneShardHasNoPatternLengthLimit) {
+  const UncertainString s = UncertainString::FromDeterministic(
+      "abcabcabcabcabcabcabcabc");  // 24 positions
+  ShardedIndexOptions options;
+  options.num_shards = 1;
+  options.overlap = 5;
+  const auto sharded = ShardedIndex::Build(s, options);
+  ASSERT_TRUE(sharded.ok());
+  ASSERT_EQ(sharded->num_shards(), 1);
+  EXPECT_EQ(sharded->options().overlap, 5);
+  const auto mono = SubstringIndex::Build(s, options.index);
+  ASSERT_TRUE(mono.ok());
+
+  std::vector<Match> got, want;
+  const Status exact = sharded->Query("abcabca", 0.5, &got);
+  ASSERT_TRUE(exact.ok()) << exact.ToString();
+  ASSERT_TRUE(mono->Query("abcabca", 0.5, &want).ok());
+  EXPECT_FALSE(got.empty());
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(test::SameMatches(got, BruteForceSearch(s, "abcabca", 0.5)));
+
+  // m + k = 23 + 2 > n = 24: the widest variants reach past the string.
+  const std::string long_pattern = "abcabcabcabcabcabcabcab";
+  const FuzzyParams edit{2, FuzzyMetric::kEdit};
+  const Status fuzzy = sharded->QueryFuzzy(long_pattern, 0.5, edit, &got);
+  ASSERT_TRUE(fuzzy.ok()) << fuzzy.ToString();
+  ASSERT_TRUE(mono->QueryFuzzy(long_pattern, 0.5, edit, &want).ok());
+  EXPECT_FALSE(got.empty());
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(test::SameMatches(
+      got, BruteForceFuzzy(s, long_pattern, 0.5, edit)));
+
+  // The batched paths take the same route.
+  std::vector<std::vector<Match>> batch;
+  ASSERT_TRUE(sharded->QueryBatch({{"abcabca", 0.5}}, &batch).ok());
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0], BruteForceSearch(s, "abcabca", 0.5));
+  ASSERT_TRUE(
+      sharded->QueryFuzzyBatch({{long_pattern, 0.5, edit}}, &batch).ok());
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0], want);
+}
+
+// FromIndex wraps a built index as one shard without rebuilding it: the
+// wrapper answers, and fails, exactly as the index it wraps, and survives a
+// v3 Save/Load round trip unchanged.
+TEST(ShardedIndexTest, FromIndexAnswersAsTheWrappedIndexAndRoundTrips) {
+  test::RandomStringSpec spec;
+  spec.length = 90;
+  spec.seed = 31;
+  const UncertainString s = test::RandomUncertain(spec);
+  for (const bool compact : {false, true}) {
+    IndexOptions index_options;
+    index_options.transform.tau_min = 0.05;
+    index_options.compact = compact;
+    auto reference = SubstringIndex::Build(s, index_options);
+    auto built = SubstringIndex::Build(s, index_options);
+    ASSERT_TRUE(reference.ok());
+    ASSERT_TRUE(built.ok());
+    const ShardedIndex wrapped =
+        ShardedIndex::FromIndex(std::move(built).value());
+    EXPECT_EQ(wrapped.num_shards(), 1);
+    EXPECT_EQ(wrapped.shard_begin(0), 0);
+    EXPECT_EQ(wrapped.stats().original_length, 90);
+    EXPECT_EQ(wrapped.options().overlap, 89);  // Build's resolution of 0
+    EXPECT_EQ(wrapped.options().index.transform.tau_min, 0.05);
+
+    std::string blob;
+    ASSERT_TRUE(wrapped.Save(&blob, 3).ok());
+    const auto loaded = ShardedIndex::Load(blob, 2);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->num_shards(), 1);
+    EXPECT_EQ(loaded->options().overlap, 89);
+    std::string blob2;
+    ASSERT_TRUE(loaded->Save(&blob2, 3).ok());
+    EXPECT_EQ(blob2, blob);
+
+    Rng rng(compact ? 37 : 41);
+    std::vector<BatchQuery> queries;
+    for (int q = 0; q < 40; ++q) {
+      const size_t len = 1 + rng.Uniform(12);
+      const int64_t start =
+          static_cast<int64_t>(rng.Uniform(s.size() - len + 1));
+      queries.push_back({test::PatternFromString(s, start, len, rng.Next()),
+                         0.05 + 0.1 * static_cast<double>(rng.Uniform(3))});
+    }
+    // Invalid queries fail with the wrapped index's own status.
+    queries.push_back({"", 0.5});
+    queries.push_back({"ab", 0.01});
+    for (const ShardedIndex* index : {&wrapped, &*loaded}) {
+      for (const BatchQuery& q : queries) {
+        std::vector<Match> got, want;
+        const Status got_st = index->Query(q.pattern, q.tau, &got);
+        const Status want_st = reference->Query(q.pattern, q.tau, &want);
+        EXPECT_EQ(got_st.ToString(), want_st.ToString()) << q.pattern;
+        EXPECT_EQ(got, want) << q.pattern;
+        const FuzzyParams params{1, FuzzyMetric::kMismatch};
+        EXPECT_EQ(index->QueryFuzzy(q.pattern, q.tau, params, &got).ToString(),
+                  reference->QueryFuzzy(q.pattern, q.tau, params, &want)
+                      .ToString());
+        EXPECT_EQ(got, want) << q.pattern;
+      }
+      std::vector<std::vector<Match>> got, want;
+      const std::vector<BatchQuery> valid(queries.begin(), queries.end() - 2);
+      ASSERT_TRUE(index->QueryBatch(valid, &got).ok());
+      ASSERT_TRUE(reference->QueryBatch(valid, &want).ok());
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(index->QueryBatch(queries, &got).ToString(),
+                reference->QueryBatch(queries, &want).ToString());
+    }
+  }
 }
 
 TEST(ShardedIndexTest, RandomizedAgreementWithMonolithicAndOracle) {
