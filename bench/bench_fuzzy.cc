@@ -7,7 +7,7 @@
 //       lengths at k=1.
 //   (b) k-edit latency: the same comparison under edit distance, where the
 //       branching factor (insertions/deletions) is larger.
-//   (c) batch vs loop: QueryFuzzyBatch's grouped enumeration (one variant
+//   (c) batch vs loop: QueryBatch's grouped enumeration (one variant
 //       walk per distinct (pattern, metric, k) at the group-min tau)
 //       against a one-at-a-time loop, at k=1 and k=2.
 //   (d) k=0 overhead: QueryFuzzy with k=0 delegates to the exact Query
@@ -105,7 +105,7 @@ void PanelC(bool full) {
   for (const int32_t k : {1, 2}) {
     FuzzyParams params;
     params.k = k;
-    std::vector<FuzzyBatchQuery> queries;
+    std::vector<BatchQuery> queries;
     for (size_t i = 0; i < kBatch; ++i) {
       queries.push_back(
           {patterns[i % patterns.size()],
@@ -113,7 +113,7 @@ void PanelC(bool full) {
     }
     std::vector<Match> out;
     std::vector<std::vector<Match>> batch_out;
-    (void)index.QueryFuzzyBatch(queries, &batch_out);
+    (void)index.QueryBatch(queries, &batch_out);
     for (const auto& q : queries) {
       (void)index.QueryFuzzy(q.pattern, q.tau, q.params, &out);
     }
@@ -125,7 +125,7 @@ void PanelC(bool full) {
         }
       }));
       batch_ms = std::min(batch_ms, bench::TimeMs([&] {
-        (void)index.QueryFuzzyBatch(queries, &batch_out);
+        (void)index.QueryBatch(queries, &batch_out);
       }));
     }
     const double per = static_cast<double>(queries.size());

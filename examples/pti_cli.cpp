@@ -393,6 +393,34 @@ pti::StatusOr<pti::serde::IndexKind> OpenIndexBlob(const std::string& path,
   return pti::serde::PeekKind((*blob)->view());
 }
 
+/// The one loader for the kinds the query commands serve: a sharded
+/// container as built, a substring container as one shard
+/// (ShardedIndex::FromIndex), which answers exactly as the index it wraps.
+/// Returns 0 with *out filled, or prints the error and returns the exit
+/// code; `command` names the caller in the wrong-kind error.
+int LoadServable(const char* command, pti::serde::IndexKind kind,
+                 const pti::serde::BlobPtr& blob, int32_t threads,
+                 pti::ShardedIndex* out) {
+  switch (kind) {
+    case pti::serde::IndexKind::kSubstring: {
+      auto index = pti::SubstringIndex::Load(blob->view(), blob);
+      if (!index.ok()) return Fail(index.status().ToString());
+      *out = pti::ShardedIndex::FromIndex(std::move(index).value());
+      return 0;
+    }
+    case pti::serde::IndexKind::kSharded: {
+      auto index = pti::ShardedIndex::Load(blob->view(), threads, blob);
+      if (!index.ok()) return Fail(index.status().ToString());
+      *out = std::move(index).value();
+      return 0;
+    }
+    default:
+      return Fail(std::string(command) +
+                  " requires a substring or sharded index, got a " +
+                  pti::serde::KindName(kind) + " index");
+  }
+}
+
 int SaveIndexFile(const pti::Status& save_status, const std::string& blob,
                   const std::string& path) {
   if (!save_status.ok()) return Fail(save_status.ToString());
@@ -586,16 +614,13 @@ int CmdQuery(int argc, char** argv) {
   pti::Status st;
   std::vector<pti::Match> matches;
   switch (*kind) {
-    case pti::serde::IndexKind::kSubstring: {
-      auto index = pti::SubstringIndex::Load(blob->view(), blob);
-      if (!index.ok()) return Fail(index.status().ToString());
-      st = index->Query(pattern, tau, &matches);
-      break;
-    }
+    case pti::serde::IndexKind::kSubstring:
     case pti::serde::IndexKind::kSharded: {
-      auto index = pti::ShardedIndex::Load(blob->view(), 1, blob);
-      if (!index.ok()) return Fail(index.status().ToString());
-      st = index->Query(pattern, tau, &matches);
+      pti::ShardedIndex index;
+      if (const int rc = LoadServable("query", *kind, blob, 1, &index)) {
+        return rc;
+      }
+      st = index.Query(pattern, tau, &matches);
       break;
     }
     case pti::serde::IndexKind::kApprox: {
@@ -651,25 +676,10 @@ int CmdFuzzy(int argc, char** argv) {
   pti::serde::BlobPtr blob;
   auto kind = OpenIndexBlob(pos[0], flags.mmap, &blob);
   if (!kind.ok()) return Fail(kind.status().ToString());
-  pti::Status st;
+  pti::ShardedIndex index;
+  if (const int rc = LoadServable("fuzzy", *kind, blob, 1, &index)) return rc;
   std::vector<pti::Match> matches;
-  switch (*kind) {
-    case pti::serde::IndexKind::kSubstring: {
-      auto index = pti::SubstringIndex::Load(blob->view(), blob);
-      if (!index.ok()) return Fail(index.status().ToString());
-      st = index->QueryFuzzy(pattern, tau, params, &matches);
-      break;
-    }
-    case pti::serde::IndexKind::kSharded: {
-      auto index = pti::ShardedIndex::Load(blob->view(), 1, blob);
-      if (!index.ok()) return Fail(index.status().ToString());
-      st = index->QueryFuzzy(pattern, tau, params, &matches);
-      break;
-    }
-    default:
-      return Fail("fuzzy requires a substring or sharded index, got a " +
-                  std::string(pti::serde::KindName(*kind)) + " index");
-  }
+  const pti::Status st = index.QueryFuzzy(pattern, tau, params, &matches);
   if (!st.ok()) return Fail(st.ToString());
   PrintMatches(matches);
   return 0;
@@ -815,31 +825,19 @@ int CmdBatch(int argc, char** argv) {
   std::vector<pti::BatchQuery> queries;
   const pti::Status parsed = ParsePatternsFile(patterns_text, tau, &queries);
   if (!parsed.ok()) return Fail(parsed.ToString());
-  std::vector<std::vector<pti::Match>> results;
-  switch (*kind) {
-    case pti::serde::IndexKind::kSubstring: {
-      if (flags.threads_set) {
-        return Fail("--threads applies to sharded indexes; " +
-                    std::string(pos[0]) + " holds a substring index");
-      }
-      auto index = pti::SubstringIndex::Load(blob->view(), blob);
-      if (!index.ok()) return Fail(index.status().ToString());
-      const pti::Status st = index->QueryBatch(queries, &results);
-      if (!st.ok()) return Fail(st.ToString());
-      break;
-    }
-    case pti::serde::IndexKind::kSharded: {
-      auto index = pti::ShardedIndex::Load(
-          blob->view(), static_cast<int32_t>(flags.threads), blob);
-      if (!index.ok()) return Fail(index.status().ToString());
-      const pti::Status st = index->QueryBatch(queries, &results);
-      if (!st.ok()) return Fail(st.ToString());
-      break;
-    }
-    default:
-      return Fail("batch requires a substring or sharded index, got a " +
-                  std::string(pti::serde::KindName(*kind)) + " index");
+  if (*kind == pti::serde::IndexKind::kSubstring && flags.threads_set) {
+    return Fail("--threads applies to sharded indexes; " +
+                std::string(pos[0]) + " holds a substring index");
   }
+  pti::ShardedIndex index;
+  if (const int rc = LoadServable("batch", *kind, blob,
+                                  static_cast<int32_t>(flags.threads),
+                                  &index)) {
+    return rc;
+  }
+  std::vector<std::vector<pti::Match>> results;
+  const pti::Status st = index.QueryBatch(queries, &results);
+  if (!st.ok()) return Fail(st.ToString());
   return PrintBatchResults(queries, results);
 }
 
@@ -946,25 +944,11 @@ int CmdServe(int argc, char** argv) {
   options.cache_bytes = static_cast<size_t>(flags.cache_mb) << 20;
   options.max_pending = static_cast<int32_t>(flags.max_pending);
 
-  // A substring index is served as a one-shard sharded index.
   pti::ShardedIndex index;
-  switch (*kind) {
-    case pti::serde::IndexKind::kSubstring: {
-      auto mono = pti::SubstringIndex::Load(blob->view(), blob);
-      if (!mono.ok()) return Fail(mono.status().ToString());
-      index = pti::ShardedIndex::FromIndex(std::move(mono).value());
-      break;
-    }
-    case pti::serde::IndexKind::kSharded: {
-      auto sharded = pti::ShardedIndex::Load(
-          blob->view(), static_cast<int32_t>(flags.threads), blob);
-      if (!sharded.ok()) return Fail(sharded.status().ToString());
-      index = std::move(sharded).value();
-      break;
-    }
-    default:
-      return Fail("serve requires a substring or sharded index, got a " +
-                  std::string(pti::serde::KindName(*kind)) + " index");
+  if (const int rc = LoadServable("serve", *kind, blob,
+                                  static_cast<int32_t>(flags.threads),
+                                  &index)) {
+    return rc;
   }
   const auto engine =
       std::make_unique<pti::ServingEngine>(std::move(index), options);
@@ -1146,7 +1130,12 @@ int CmdStat(int argc, char** argv) {
                   static_cast<long long>(stats.original_length));
       std::printf("shards               %d\n", stats.num_shards);
       std::printf("overlap              %d\n", stats.overlap);
-      std::printf("max pattern length   %d\n", stats.overlap + 1);
+      // One shard has no slice boundary, hence no length limit.
+      if (stats.num_shards == 1) {
+        std::printf("max pattern length   unlimited (one shard)\n");
+      } else {
+        std::printf("max pattern length   %d\n", stats.overlap + 1);
+      }
       std::printf("maximal factors      %zu\n", stats.num_factors);
       std::printf("transformed length   %zu\n", stats.transformed_length);
       std::printf("tau_min              %.6g\n",

@@ -57,15 +57,6 @@ struct FuzzyParams {
   FuzzyMetric metric = FuzzyMetric::kMismatch;
 };
 
-/// One (pattern, tau, params) query of a fuzzy batch; the fuzzy analogue of
-/// BatchQuery, shared by SubstringIndex::QueryFuzzyBatch and the engine
-/// layer.
-struct FuzzyBatchQuery {
-  std::string pattern;
-  double tau = 0.0;
-  FuzzyParams params;
-};
-
 /// Validates k and the metric: k < 0 or an unknown metric value is
 /// InvalidArgument; k > kMaxFuzzyErrors is NotSupported.
 Status CheckFuzzyParams(const FuzzyParams& params);

@@ -787,6 +787,8 @@ struct SubstringIndex::Impl {
     return Status::OK();
   }
 
+  // One batch path for exact and fuzzy queries: an exact query is the
+  // k = 0 case of a fuzzy one.
   Status QueryBatch(const std::vector<BatchQuery>& queries,
                     std::vector<std::vector<Match>>* out) const {
     // Resize without discarding the inner vectors: a caller reusing the
@@ -800,38 +802,59 @@ struct SubstringIndex::Impl {
     std::vector<LogProb> log_taus;
     log_taus.reserve(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      const auto fail = [&i](const char* what) {
-        return Status::InvalidArgument("batch query #" + std::to_string(i) +
-                                       ": " + what);
+      const auto fail = [&i](const Status& st) {
+        const std::string msg =
+            "batch query #" + std::to_string(i) + ": " + st.message();
+        return st.code() == Status::Code::kNotSupported
+                   ? Status::NotSupported(msg)
+                   : Status::InvalidArgument(msg);
       };
       const BatchQuery& q = queries[i];
-      if (q.pattern.empty()) return fail("pattern must be non-empty");
+      if (q.pattern.empty()) {
+        return fail(Status::InvalidArgument("pattern must be non-empty"));
+      }
       if (!(q.tau > 0.0) || q.tau > 1.0) {
-        return fail("tau must be in (0, 1]");
+        return fail(Status::InvalidArgument("tau must be in (0, 1]"));
       }
       log_taus.push_back(LogProb::FromLinear(q.tau));
       if (!log_taus.back().MeetsThreshold(lmin)) {
-        return fail("tau is below the construction-time tau_min");
+        return fail(Status::InvalidArgument(
+            "tau is below the construction-time tau_min"));
       }
+      const Status fp = CheckFuzzyParams(q.params);
+      if (!fp.ok()) return fail(fp);
     }
-    // Pattern-sorted processing: equal patterns collapse into one group
-    // (smallest tau first), and neighbouring patterns share the resumable
-    // part of the locus search — prefixes in tree mode (the descent resumes
-    // mid-path), suffixes in compact mode (backward search reads patterns
-    // right-to-left, so the shared suffix is what an FM range can resume
-    // from).
+    // Group by (k, metric, pattern), smallest tau first: one extraction at
+    // a group's smallest tau is a superset of every member's result set
+    // (MeetsThreshold is monotone in tau), so each member just re-filters
+    // with its own threshold. The exact (k = 0) groups come first, in the
+    // order the locus walker resumes from: neighbouring patterns share
+    // prefixes in tree mode (the descent resumes mid-path) and suffixes in
+    // compact mode (backward search reads patterns right-to-left, so the
+    // shared suffix is what an FM range can resume from).
     const bool compact_mode = fm.has_value();
+    const auto same_group = [](const BatchQuery& a, const BatchQuery& b) {
+      return a.params.k == b.params.k &&
+             (a.params.k == 0 || a.params.metric == b.params.metric) &&
+             a.pattern == b.pattern;
+    };
     std::vector<size_t> order(queries.size());
     std::iota(order.begin(), order.end(), size_t{0});
     std::sort(order.begin(), order.end(),
               [&queries, compact_mode](size_t a, size_t b) {
-                const std::string& pa = queries[a].pattern;
-                const std::string& pb = queries[b].pattern;
-                if (pa != pb) {
-                  return compact_mode ? ReversedLess(pa, pb)
-                                      : pa.compare(pb) < 0;
+                const BatchQuery& qa = queries[a];
+                const BatchQuery& qb = queries[b];
+                if (qa.params.k != qb.params.k) {
+                  return qa.params.k < qb.params.k;
                 }
-                return queries[a].tau < queries[b].tau;
+                if (qa.params.k > 0 && qa.params.metric != qb.params.metric) {
+                  return qa.params.metric < qb.params.metric;
+                }
+                if (qa.pattern != qb.pattern) {
+                  return compact_mode ? ReversedLess(qa.pattern, qb.pattern)
+                                      : qa.pattern.compare(qb.pattern) < 0;
+                }
+                return qa.tau < qb.tau;
               });
     std::optional<PrefixWalker> tree_walker;
     std::optional<SuffixWalker> fm_walker;
@@ -843,30 +866,28 @@ struct SubstringIndex::Impl {
     std::vector<RawMatch> raw;
     size_t g = 0;
     while (g < order.size()) {
+      const BatchQuery& lead = queries[order[g]];
       size_t h = g + 1;
-      while (h < order.size() &&
-             queries[order[h]].pattern == queries[order[g]].pattern) {
-        ++h;
+      while (h < order.size() && same_group(queries[order[h]], lead)) ++h;
+      raw.clear();
+      if (lead.params.k == 0) {
+        const auto mapped = Text::MapPattern(lead.pattern);
+        const auto range = compact_mode ? fm_walker->Find(mapped)
+                                        : tree_walker->Find(mapped);
+        if (range.has_value()) {
+          Extract(static_cast<int32_t>(lead.pattern.size()), range->first,
+                  range->second - 1, log_taus[order[g]], &raw);
+        }
+      } else {
+        FuzzyExtract(lead.pattern, lead.params, log_taus[order[g]], &raw);
       }
-      const std::string& pattern = queries[order[g]].pattern;
-      const auto mapped = Text::MapPattern(pattern);
-      const auto range = compact_mode ? fm_walker->Find(mapped)
-                                      : tree_walker->Find(mapped);
-      if (range.has_value()) {
-        // One extraction at the group's smallest tau is a superset of every
-        // member's result set (MeetsThreshold is monotone in tau), so each
-        // member just re-filters with its own threshold.
-        raw.clear();
-        Extract(static_cast<int32_t>(pattern.size()), range->first,
-                range->second - 1, log_taus[order[g]], &raw);
-        for (size_t j = g; j < h; ++j) {
-          const LogProb log_tau = log_taus[order[j]];
-          auto& dst = (*out)[order[j]];
-          dst.reserve(raw.size());
-          for (const RawMatch& rm : raw) {
-            if (LogProb::FromLog(rm.logv).MeetsThreshold(log_tau)) {
-              dst.push_back(Match{rm.spos, std::exp(rm.logv)});
-            }
+      for (size_t j = g; j < h; ++j) {
+        const LogProb log_tau = log_taus[order[j]];
+        auto& dst = (*out)[order[j]];
+        dst.reserve(raw.size());
+        for (const RawMatch& rm : raw) {
+          if (LogProb::FromLog(rm.logv).MeetsThreshold(log_tau)) {
+            dst.push_back(Match{rm.spos, std::exp(rm.logv)});
           }
         }
       }
@@ -938,9 +959,8 @@ struct SubstringIndex::Impl {
 
   // One fuzzy enumeration pass: every position whose best admissible
   // variant clears log_tau, with that variant's exact log value,
-  // position-sorted. Shared by QueryFuzzy and QueryFuzzyBatch (which runs
-  // it at a group's smallest tau and re-filters, exactly like the exact
-  // batch path).
+  // position-sorted. Shared by QueryFuzzy and QueryBatch (which runs it at
+  // a group's smallest tau and re-filters).
   void FuzzyExtract(const std::string& pattern, const FuzzyParams& params,
                     LogProb log_tau, std::vector<RawMatch>* out) const {
     out->clear();
@@ -987,87 +1007,6 @@ struct SubstringIndex::Impl {
     out->reserve(raw.size());
     for (const RawMatch& rm : raw) {
       out->push_back(Match{rm.spos, std::exp(rm.logv)});
-    }
-    return Status::OK();
-  }
-
-  Status QueryFuzzyBatch(const std::vector<FuzzyBatchQuery>& queries,
-                         std::vector<std::vector<Match>>* out) const {
-    out->resize(queries.size());
-    for (auto& dst : *out) dst.clear();
-    const LogProb lmin = LogProb::FromLinear(fs.tau_min);
-    std::vector<LogProb> log_taus;
-    log_taus.reserve(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const auto fail = [&i](const char* what) {
-        return Status::InvalidArgument("batch query #" + std::to_string(i) +
-                                       ": " + what);
-      };
-      const FuzzyBatchQuery& q = queries[i];
-      if (q.pattern.empty()) return fail("pattern must be non-empty");
-      if (!(q.tau > 0.0) || q.tau > 1.0) {
-        return fail("tau must be in (0, 1]");
-      }
-      log_taus.push_back(LogProb::FromLinear(q.tau));
-      if (!log_taus.back().MeetsThreshold(lmin)) {
-        return fail("tau is below the construction-time tau_min");
-      }
-      const Status fp = CheckFuzzyParams(q.params);
-      if (!fp.ok()) {
-        const std::string msg =
-            "batch query #" + std::to_string(i) + ": " + fp.message();
-        return fp.code() == Status::Code::kNotSupported
-                   ? Status::NotSupported(msg)
-                   : Status::InvalidArgument(msg);
-      }
-    }
-    // Group by (pattern, metric, k): one enumeration at the group's
-    // smallest tau is a superset of every member's result set, so members
-    // re-filter with their own thresholds — the fuzzy mirror of QueryBatch.
-    std::vector<size_t> order(queries.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::sort(order.begin(), order.end(), [&queries](size_t a, size_t b) {
-      const FuzzyBatchQuery& qa = queries[a];
-      const FuzzyBatchQuery& qb = queries[b];
-      if (qa.pattern != qb.pattern) return qa.pattern < qb.pattern;
-      if (qa.params.metric != qb.params.metric) {
-        return qa.params.metric < qb.params.metric;
-      }
-      if (qa.params.k != qb.params.k) return qa.params.k < qb.params.k;
-      return qa.tau < qb.tau;
-    });
-    std::vector<RawMatch> raw;
-    size_t g = 0;
-    while (g < order.size()) {
-      const FuzzyBatchQuery& lead = queries[order[g]];
-      size_t h = g + 1;
-      while (h < order.size() &&
-             queries[order[h]].pattern == lead.pattern &&
-             queries[order[h]].params.metric == lead.params.metric &&
-             queries[order[h]].params.k == lead.params.k) {
-        ++h;
-      }
-      if (lead.params.k == 0) {
-        // Exact members stay on the exact path for bit-identity with Query.
-        for (size_t j = g; j < h; ++j) {
-          PTI_RETURN_IF_ERROR(Query(lead.pattern, queries[order[j]].tau,
-                                    &(*out)[order[j]]));
-        }
-      } else {
-        raw.clear();
-        FuzzyExtract(lead.pattern, lead.params, log_taus[order[g]], &raw);
-        for (size_t j = g; j < h; ++j) {
-          const LogProb log_tau = log_taus[order[j]];
-          auto& dst = (*out)[order[j]];
-          dst.reserve(raw.size());
-          for (const RawMatch& rm : raw) {
-            if (LogProb::FromLog(rm.logv).MeetsThreshold(log_tau)) {
-              dst.push_back(Match{rm.spos, std::exp(rm.logv)});
-            }
-          }
-        }
-      }
-      g = h;
     }
     return Status::OK();
   }
@@ -1163,12 +1102,6 @@ Status SubstringIndex::QueryFuzzy(const std::string& pattern, double tau,
                                   const FuzzyParams& params,
                                   std::vector<Match>* out) const {
   return impl_->QueryFuzzy(pattern, tau, params, out);
-}
-
-Status SubstringIndex::QueryFuzzyBatch(
-    const std::vector<FuzzyBatchQuery>& queries,
-    std::vector<std::vector<Match>>* out) const {
-  return impl_->QueryFuzzyBatch(queries, out);
 }
 
 Status SubstringIndex::QueryTopK(const std::string& pattern, double tau,

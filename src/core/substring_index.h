@@ -11,6 +11,11 @@
 //   * m > K: the paper's blocking scheme (§4.2 "long substrings"); see
 //     BlockingMode for the supported variants.
 //
+// QueryFuzzy (core/fuzzy.h) takes the same threshold query over the pattern's
+// variants within k errors; its k = 0 case is Query. QueryBatch is the one
+// batched path for both: a BatchQuery is (pattern, tau, params), exact by
+// default.
+//
 // Correlated characters (§3.3) are resolved exactly at validation time; the
 // factor transformation enumerates with optimistic probabilities so no
 // occurrence is missed (see factor_transform.h).
@@ -66,11 +71,15 @@ struct IndexOptions {
   bool compact = false;
 };
 
-/// One (pattern, tau) query of a batch. Shared by SubstringIndex::QueryBatch
-/// and the engine layer (engine/sharded_index.h).
+/// One (pattern, tau, params) query of a batch. Shared by
+/// SubstringIndex::QueryBatch and the engine layer
+/// (engine/sharded_index.h). The default params (k = 0) make it an exact
+/// query, so `{pattern, tau}` means what Query(pattern, tau) means.
 struct BatchQuery {
   std::string pattern;
   double tau = 0.0;
+  /// Written out: FuzzyParams itself defaults to k = 1.
+  FuzzyParams params = {0, FuzzyMetric::kMismatch};
 };
 
 /// Wall-clock milliseconds per construction stage, accumulated by
@@ -125,14 +134,16 @@ class SubstringIndex {
                std::vector<Match>* out) const;
 
   /// Answers every query of the batch; out is resized to queries.size() and
-  /// entry i holds exactly what Query(queries[i]) would report. The batch is
-  /// processed in pattern-sorted order so that (a) equal patterns share one
-  /// locus lookup and one RMQ extraction (run at the group's smallest tau,
-  /// then filtered per query with the same threshold predicate) and (b) in
-  /// tree mode the locus descent resumes from the longest prefix shared with
-  /// the previous pattern instead of re-walking from the root. Fails — before
-  /// any query runs — if any query is invalid (empty pattern or tau outside
-  /// [tau_min, 1]).
+  /// entry i holds exactly what QueryFuzzy(queries[i]) would report — which,
+  /// for the default k = 0, is what Query(pattern, tau) reports. Queries are
+  /// grouped by (k, metric, pattern), so equal queries share one extraction,
+  /// run at the group's smallest tau and then filtered per query with the
+  /// same threshold predicate. Exact groups run in pattern-sorted order so
+  /// that the locus search resumes from the previous pattern instead of
+  /// starting over: from the longest shared prefix in tree mode, from the
+  /// longest shared suffix in compact mode. Fails — before any query runs —
+  /// if any query is invalid (empty pattern, tau outside [tau_min, 1], or
+  /// params rejected by CheckFuzzyParams).
   Status QueryBatch(const std::vector<BatchQuery>& queries,
                     std::vector<std::vector<Match>>* out) const;
 
@@ -146,14 +157,6 @@ class SubstringIndex {
   /// pattern/tau, plus InvalidArgument/NotSupported from CheckFuzzyParams.
   Status QueryFuzzy(const std::string& pattern, double tau,
                     const FuzzyParams& params, std::vector<Match>* out) const;
-
-  /// Batched fuzzy queries: out is resized to queries.size() and entry i
-  /// holds exactly what QueryFuzzy(queries[i]) would report. Queries sharing
-  /// (pattern, k, metric) collapse into one enumeration run at the group's
-  /// smallest tau and re-filtered per query with the shared threshold
-  /// predicate. Fails — before any query runs — if any query is invalid.
-  Status QueryFuzzyBatch(const std::vector<FuzzyBatchQuery>& queries,
-                         std::vector<std::vector<Match>>* out) const;
 
   /// The k highest-probability occurrences with probability >= tau, in
   /// non-increasing probability order (ties by position).

@@ -90,7 +90,6 @@ struct ServingEngine::Impl {
   // the owning admission stripe's mutex.
   struct Pending {
     Request request;
-    bool fuzzy = false;
     std::string key;
     std::chrono::steady_clock::time_point enqueued;
     std::vector<Waiter> waiters;
@@ -227,25 +226,15 @@ struct ServingEngine::Impl {
     }
   }
 
-  // A drained micro-batch can mix exact and fuzzy requests; each subset
-  // goes through its own batched path (each is all-or-nothing on
-  // validation, with per-request fallback), so a fuzzy request's invalid
-  // input cannot fail exact batch-mates and vice versa.
+  // One micro-batch, exact and fuzzy requests alike, is one QueryBatch
+  // call: an exact request is the k = 0 case of a fuzzy one.
   void RunBatch(const ShardedIndex& gen,
                 const std::vector<std::shared_ptr<Pending>>& batch) {
-    std::vector<std::shared_ptr<Pending>> exact;
-    std::vector<std::shared_ptr<Pending>> fuzzy;
-    for (const auto& r : batch) (r->fuzzy ? fuzzy : exact).push_back(r);
-    if (!exact.empty()) RunExactSubset(gen, exact);
-    if (!fuzzy.empty()) RunFuzzySubset(gen, fuzzy);
-  }
-
-  void RunExactSubset(const ShardedIndex& gen,
-                      const std::vector<std::shared_ptr<Pending>>& batch) {
     std::vector<BatchQuery> queries;
     queries.reserve(batch.size());
     for (const auto& r : batch) {
-      queries.push_back({r->request.pattern, r->request.tau});
+      queries.push_back({r->request.pattern, r->request.tau,
+                         FuzzyParams{r->request.k, r->request.metric}});
     }
     std::vector<std::vector<Match>> results;
     const Status st = gen.QueryBatch(queries, &results);
@@ -263,40 +252,12 @@ struct ServingEngine::Impl {
     }
     // The batched path validates all-or-nothing; re-run each request on its
     // own so one client's invalid query cannot fail its batch-mates.
-    for (const auto& r : batch) {
+    for (size_t i = 0; i < batch.size(); ++i) {
       Result result;
-      result.status =
-          gen.Query(r->request.pattern, r->request.tau, &result.matches);
+      result.status = gen.QueryFuzzy(queries[i].pattern, queries[i].tau,
+                                     queries[i].params, &result.matches);
       fallback_queries.fetch_add(1, std::memory_order_relaxed);
-      Fulfill(*r, std::move(result));
-    }
-  }
-
-  void RunFuzzySubset(const ShardedIndex& gen,
-                      const std::vector<std::shared_ptr<Pending>>& batch) {
-    std::vector<FuzzyBatchQuery> queries;
-    queries.reserve(batch.size());
-    for (const auto& r : batch) {
-      queries.push_back({r->request.pattern, r->request.tau,
-                         FuzzyParams{r->request.k, r->request.metric}});
-    }
-    std::vector<std::vector<Match>> results;
-    const Status st = gen.QueryFuzzyBatch(queries, &results);
-    batches.fetch_add(1, std::memory_order_relaxed);
-    if (st.ok()) {
-      batched_queries.fetch_add(batch.size(), std::memory_order_relaxed);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        Fulfill(*batch[i], Result{Status::OK(), std::move(results[i])});
-      }
-      return;
-    }
-    for (const auto& r : batch) {
-      Result result;
-      result.status = gen.QueryFuzzy(
-          r->request.pattern, r->request.tau,
-          FuzzyParams{r->request.k, r->request.metric}, &result.matches);
-      fallback_queries.fetch_add(1, std::memory_order_relaxed);
-      Fulfill(*r, std::move(result));
+      Fulfill(*batch[i], std::move(result));
     }
   }
 
@@ -410,7 +371,9 @@ std::future<ServingEngine::Result> ServingEngine::Impl::SubmitImpl(
       return future;
     }
   }
-  const bool fuzzy = request.k > 0;
+  // metric is used only when k > 0: clearing it for an exact request keeps
+  // a stray metric value from failing QueryBatch's params validation.
+  if (request.k == 0) request.metric = FuzzyMetric::kMismatch;
   std::string key = CacheKey(request);
   if (options.cache_bytes > 0) {
     std::vector<Match> cached;
@@ -451,7 +414,6 @@ std::future<ServingEngine::Result> ServingEngine::Impl::SubmitImpl(
     }
     auto pending = std::make_shared<Pending>();
     pending->request = std::move(request);
-    pending->fuzzy = fuzzy;
     pending->key = std::move(key);
     pending->enqueued = std::chrono::steady_clock::now();
     pending->waiters.push_back(Waiter{std::move(promise), lane});

@@ -137,78 +137,17 @@ struct ShardedIndex::Impl {
   }
 
   // Mirrors SubstringIndex's query validation (same messages, same LogProb
-  // comparison) and adds the shard-specific pattern-length rules. Sets
-  // *cannot_match when the pattern is longer than the string — a valid query
-  // with a necessarily empty answer, exactly as the monolithic index treats
-  // it.
+  // comparison, then CheckFuzzyParams) and adds the shard-specific
+  // pattern-length rules. The slice layout guarantees windows of up to
+  // overlap+1 characters starting at an owned position stay in-slice; under
+  // kEdit an admissible variant window can be params.k longer than the
+  // pattern, so the supported pattern length shrinks by k. Sets
+  // *cannot_match when even the shortest admissible window (the pattern
+  // itself, or max(1, m - k) under kEdit) is longer than the string — a
+  // valid query with a necessarily empty answer, exactly as the monolithic
+  // index treats it.
   Status CheckQuery(const std::string& pattern, double tau,
-                    bool* cannot_match) const {
-    *cannot_match = false;
-    if (pattern.empty()) {
-      return Status::InvalidArgument("pattern must be non-empty");
-    }
-    if (!(tau > 0.0) || tau > 1.0) {
-      return Status::InvalidArgument("tau must be in (0, 1]");
-    }
-    const LogProb lt = LogProb::FromLinear(tau);
-    const LogProb lmin =
-        LogProb::FromLinear(options.index.transform.tau_min);
-    if (!lt.MeetsThreshold(lmin)) {
-      return Status::InvalidArgument(
-          "tau is below the construction-time tau_min");
-    }
-    const int64_t m = static_cast<int64_t>(pattern.size());
-    if (m > original_length) {
-      *cannot_match = true;
-      return Status::OK();
-    }
-    if (m > static_cast<int64_t>(options.overlap) + 1) {
-      return Status::NotSupported(
-          "pattern length " + std::to_string(m) +
-          " exceeds the shard overlap limit of " +
-          std::to_string(options.overlap + 1) +
-          "; rebuild the sharded index with a larger overlap");
-    }
-    return Status::OK();
-  }
-
-  // Re-bases one shard's matches to global coordinates, dropping overlap-
-  // tail matches (owned — and reported — by a later shard).
-  void MergeShardMatches(int32_t k, const std::vector<Match>& local,
-                         std::vector<Match>* out) const {
-    const int64_t owned = owned_end(k) - begins[k];
-    for (const Match& m : local) {
-      if (m.position >= owned) continue;
-      out->push_back(Match{m.position + begins[k], m.probability});
-    }
-  }
-
-  // One shard has no slice boundary: it answers every query itself, with
-  // its own validation and no merge copy.
-  bool single() const { return shards.size() == 1; }
-
-  Status Query(const std::string& pattern, double tau,
-               std::vector<Match>* out) const {
-    if (single()) return shards[0].Query(pattern, tau, out);
-    out->clear();
-    bool cannot_match = false;
-    PTI_RETURN_IF_ERROR(CheckQuery(pattern, tau, &cannot_match));
-    if (cannot_match) return Status::OK();
-    std::vector<Match> local;
-    for (int32_t k = 0; k < num_shards(); ++k) {
-      PTI_RETURN_IF_ERROR(shards[k].Query(pattern, tau, &local));
-      MergeShardMatches(k, local, out);
-    }
-    return Status::OK();
-  }
-
-  // Fuzzy variant of CheckQuery. The slice layout guarantees windows of up
-  // to overlap+1 characters starting at an owned position stay in-slice;
-  // under kEdit an admissible variant window can be params.k longer than
-  // the pattern (and max(1, m - k) shorter, which is what decides
-  // cannot_match), so the supported pattern length shrinks by k.
-  Status CheckFuzzyQuery(const std::string& pattern, double tau,
-                         const FuzzyParams& params, bool* cannot_match) const {
+                    const FuzzyParams& params, bool* cannot_match) const {
     *cannot_match = false;
     if (pattern.empty()) {
       return Status::InvalidArgument("pattern must be non-empty");
@@ -243,49 +182,43 @@ struct ShardedIndex::Impl {
     return Status::OK();
   }
 
-  Status QueryFuzzy(const std::string& pattern, double tau,
+  // Re-bases one shard's matches to global coordinates, dropping overlap-
+  // tail matches (owned — and reported — by a later shard).
+  void MergeShardMatches(int32_t k, const std::vector<Match>& local,
+                         std::vector<Match>* out) const {
+    const int64_t owned = owned_end(k) - begins[k];
+    for (const Match& m : local) {
+      if (m.position >= owned) continue;
+      out->push_back(Match{m.position + begins[k], m.probability});
+    }
+  }
+
+  // One shard has no slice boundary: it answers every query itself, with
+  // its own validation and no merge copy.
+  bool single() const { return shards.size() == 1; }
+
+  // Shard k's own single query. An exact query calls Query directly:
+  // QueryFuzzy would validate it and then delegate to Query anyway.
+  Status ShardQuery(int32_t k, const std::string& pattern, double tau,
                     const FuzzyParams& params, std::vector<Match>* out) const {
-    if (single()) return shards[0].QueryFuzzy(pattern, tau, params, out);
+    if (params.k == 0 && params.metric == FuzzyMetric::kMismatch) {
+      return shards[k].Query(pattern, tau, out);
+    }
+    return shards[k].QueryFuzzy(pattern, tau, params, out);
+  }
+
+  // Query and QueryFuzzy: fan out, re-base, drop overlap-tail matches.
+  Status Query(const std::string& pattern, double tau,
+               const FuzzyParams& params, std::vector<Match>* out) const {
+    if (single()) return ShardQuery(0, pattern, tau, params, out);
     out->clear();
     bool cannot_match = false;
-    PTI_RETURN_IF_ERROR(CheckFuzzyQuery(pattern, tau, params, &cannot_match));
+    PTI_RETURN_IF_ERROR(CheckQuery(pattern, tau, params, &cannot_match));
     if (cannot_match) return Status::OK();
     std::vector<Match> local;
     for (int32_t k = 0; k < num_shards(); ++k) {
-      PTI_RETURN_IF_ERROR(shards[k].QueryFuzzy(pattern, tau, params, &local));
+      PTI_RETURN_IF_ERROR(ShardQuery(k, pattern, tau, params, &local));
       MergeShardMatches(k, local, out);
-    }
-    return Status::OK();
-  }
-
-  Status QueryFuzzyBatch(const std::vector<FuzzyBatchQuery>& queries,
-                         std::vector<std::vector<Match>>* out) const {
-    if (single()) return shards[0].QueryFuzzyBatch(queries, out);
-    out->clear();
-    out->resize(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      bool cannot_match = false;
-      const Status st = CheckFuzzyQuery(queries[i].pattern, queries[i].tau,
-                                        queries[i].params, &cannot_match);
-      if (!st.ok()) return PrefixBatchError(st, i);
-    }
-    const size_t n_shards = static_cast<size_t>(num_shards());
-    std::vector<std::vector<std::vector<Match>>> per_shard(n_shards);
-    std::vector<Status> statuses(n_shards);
-    const auto run_shard = [&](size_t k) {
-      statuses[k] = shards[k].QueryFuzzyBatch(queries, &per_shard[k]);
-    };
-    if (n_shards > 1 && options.num_threads > 1) {
-      GetPool()->ParallelFor(n_shards, run_shard);
-    } else {
-      for (size_t k = 0; k < n_shards; ++k) run_shard(k);
-    }
-    for (const Status& st : statuses) PTI_RETURN_IF_ERROR(st);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      for (size_t k = 0; k < n_shards; ++k) {
-        MergeShardMatches(static_cast<int32_t>(k), per_shard[k][i],
-                          &(*out)[i]);
-      }
     }
     return Status::OK();
   }
@@ -297,8 +230,8 @@ struct ShardedIndex::Impl {
     out->resize(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       bool cannot_match = false;
-      const Status st =
-          CheckQuery(queries[i].pattern, queries[i].tau, &cannot_match);
+      const Status st = CheckQuery(queries[i].pattern, queries[i].tau,
+                                   queries[i].params, &cannot_match);
       if (!st.ok()) return PrefixBatchError(st, i);
     }
     const size_t n_shards = static_cast<size_t>(num_shards());
@@ -417,7 +350,7 @@ ShardedIndex ShardedIndex::FromIndex(SubstringIndex index) {
 
 Status ShardedIndex::Query(const std::string& pattern, double tau,
                            std::vector<Match>* out) const {
-  return impl_->Query(pattern, tau, out);
+  return impl_->Query(pattern, tau, {0, FuzzyMetric::kMismatch}, out);
 }
 
 Status ShardedIndex::QueryBatch(const std::vector<BatchQuery>& queries,
@@ -428,19 +361,13 @@ Status ShardedIndex::QueryBatch(const std::vector<BatchQuery>& queries,
 Status ShardedIndex::QueryFuzzy(const std::string& pattern, double tau,
                                 const FuzzyParams& params,
                                 std::vector<Match>* out) const {
-  return impl_->QueryFuzzy(pattern, tau, params, out);
-}
-
-Status ShardedIndex::QueryFuzzyBatch(
-    const std::vector<FuzzyBatchQuery>& queries,
-    std::vector<std::vector<Match>>* out) const {
-  return impl_->QueryFuzzyBatch(queries, out);
+  return impl_->Query(pattern, tau, params, out);
 }
 
 Status ShardedIndex::Count(const std::string& pattern, double tau,
                            size_t* count) const {
   std::vector<Match> matches;
-  PTI_RETURN_IF_ERROR(impl_->Query(pattern, tau, &matches));
+  PTI_RETURN_IF_ERROR(Query(pattern, tau, &matches));
   *count = matches.size();
   return Status::OK();
 }

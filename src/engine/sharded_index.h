@@ -17,7 +17,9 @@
 // inside the overlap tail are dropped (the next shard owns and reports
 // them). Patterns longer than overlap+1 could straddle further than the
 // slices cover, so they are rejected with NotSupported — rebuild with a
-// larger overlap to serve them.
+// larger overlap to serve them. Query and QueryFuzzy share one fan-out and
+// one validation (an exact query is the k = 0 fuzzy query), and QueryBatch
+// is the one batched path for both.
 //
 // One shard (K = 1) has no slice boundary: every query goes straight to
 // shard 0, so the overlap length rule does not apply and a K = 1 index
@@ -101,13 +103,6 @@ class ShardedIndex {
   Status Query(const std::string& pattern, double tau,
                std::vector<Match>* out) const;
 
-  /// Batched query path: validates every query up front, fans the whole
-  /// batch out shard-parallel (each shard runs its own
-  /// SubstringIndex::QueryBatch with prefix-sharing), then merges per query.
-  /// out[i] holds exactly what Query(queries[i]) would report.
-  Status QueryBatch(const std::vector<BatchQuery>& queries,
-                    std::vector<std::vector<Match>>* out) const;
-
   /// Fuzzy threshold query (core/fuzzy.h), fanned out like Query. With
   /// more than one shard the overlap length rule widens by k: under kEdit a
   /// variant window can be params.k longer than the pattern, so patterns
@@ -117,11 +112,14 @@ class ShardedIndex {
   Status QueryFuzzy(const std::string& pattern, double tau,
                     const FuzzyParams& params, std::vector<Match>* out) const;
 
-  /// Batched fuzzy path: validates up front, fans out shard-parallel via
-  /// each shard's QueryFuzzyBatch, merges per query. out[i] holds exactly
-  /// what QueryFuzzy(queries[i]) would report.
-  Status QueryFuzzyBatch(const std::vector<FuzzyBatchQuery>& queries,
-                         std::vector<std::vector<Match>>* out) const;
+  /// The one batched path, exact and fuzzy alike: validates every query up
+  /// front, fans the whole batch out shard-parallel (each shard runs its
+  /// own SubstringIndex::QueryBatch, with its grouping and prefix/suffix
+  /// sharing), then merges per query. out[i] holds exactly what
+  /// QueryFuzzy(queries[i]) would report — Query's answer for the default
+  /// k = 0.
+  Status QueryBatch(const std::vector<BatchQuery>& queries,
+                    std::vector<std::vector<Match>>* out) const;
 
   /// Number of occurrences with probability >= tau.
   Status Count(const std::string& pattern, double tau, size_t* count) const;
@@ -129,7 +127,8 @@ class ShardedIndex {
   struct Stats {
     int64_t original_length = 0;
     int32_t num_shards = 0;
-    int32_t overlap = 0;            ///< slice overlap; max pattern = overlap+1
+    int32_t overlap = 0;            ///< slice overlap; with more than one
+                                    ///< shard, max pattern = overlap+1
     size_t num_factors = 0;         ///< summed over shards
     size_t transformed_length = 0;  ///< summed over shards
   };

@@ -448,6 +448,18 @@ def main():
         check(f"stat-{kind}", run("stat", p(path)), 0, stdout_has=kind)
     check("stat-compact", run("stat", p("dc.pti")), 0,
           stdout_has="compact (FM-index)")
+    # One shard has no slice boundary: stat reports no pattern length limit,
+    # and a pattern longer than overlap+1 still answers.
+    check("build-sharded-one-shard",
+          run("build-sharded", p("g.pus"), p("sh1.pti"), "0.1",
+              "--shards=1", "--overlap=5"), 0, stdout_has="1 shards")
+    check("stat-one-shard-no-limit", run("stat", p("sh1.pti")), 0,
+          stdout_has="max pattern length   unlimited")
+    check("stat-sharded-limit", run("stat", p("sh.pti")), 0,
+          stdout_has="max pattern length   17")
+    check("query-one-shard-long-pattern",
+          run("query", p("sh1.pti"), "ABCDEFGHI", "0.1"), 0,
+          stderr_has="match(es)")
     check("stat-missing-args", run("stat"), 2, stderr_has="usage")
     check("stat-corrupt", run("stat", p("trunc.pti")), 1,
           stderr_has="Corruption")

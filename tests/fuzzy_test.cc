@@ -1,5 +1,5 @@
 // Differential suite for the fuzzy (approximate) query subsystem:
-// QueryFuzzy / QueryFuzzyBatch pinned against the BruteForceFuzzy oracle
+// QueryFuzzy / QueryBatch pinned against the BruteForceFuzzy oracle
 // across tree, compact and sharded modes via the randomized property sweep
 // in test_util.h, plus named pinning tests for every degenerate input.
 //
@@ -216,7 +216,7 @@ TEST(FuzzyDifferentialTest, BatchEqualsPerQueryLoop) {
       ASSERT_TRUE(index.ok()) << config.label;
       // A batch mixing shared patterns at different taus/k (exercising the
       // group-collapse path), k = 0 members, and both metrics.
-      std::vector<FuzzyBatchQuery> batch;
+      std::vector<BatchQuery> batch;
       const auto patterns = SweepPatterns(config, 3);
       for (const std::string& pattern : patterns) {
         for (const double tau : kSweepTaus) {
@@ -226,7 +226,7 @@ TEST(FuzzyDifferentialTest, BatchEqualsPerQueryLoop) {
         }
       }
       std::vector<std::vector<Match>> got;
-      ASSERT_TRUE(index->QueryFuzzyBatch(batch, &got).ok()) << config.label;
+      ASSERT_TRUE(index->QueryBatch(batch, &got).ok()) << config.label;
       ASSERT_EQ(got.size(), batch.size());
       for (size_t i = 0; i < batch.size(); ++i) {
         std::vector<Match> want;
@@ -254,7 +254,7 @@ TEST(FuzzyDifferentialTest, ShardedBatchEqualsPerQueryLoop) {
   options.num_threads = 2;
   const auto index = ShardedIndex::Build(s, options);
   ASSERT_TRUE(index.ok());
-  std::vector<FuzzyBatchQuery> batch;
+  std::vector<BatchQuery> batch;
   Rng rng(73);
   for (int q = 0; q < 12; ++q) {
     const size_t len = 1 + rng.Uniform(5);
@@ -264,7 +264,7 @@ TEST(FuzzyDifferentialTest, ShardedBatchEqualsPerQueryLoop) {
                       (q % 2) ? FuzzyMetric::kEdit : FuzzyMetric::kMismatch}});
   }
   std::vector<std::vector<Match>> got;
-  ASSERT_TRUE(index->QueryFuzzyBatch(batch, &got).ok());
+  ASSERT_TRUE(index->QueryBatch(batch, &got).ok());
   ASSERT_EQ(got.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     std::vector<Match> want;
@@ -405,11 +405,11 @@ TEST_F(FuzzyDegenerateTest, InvalidParamsRejected) {
                        &out);
   EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
   // Batch validation fails before any query runs, with the entry index.
-  std::vector<FuzzyBatchQuery> batch = {
+  std::vector<BatchQuery> batch = {
       {"ab", 0.1, {1, FuzzyMetric::kMismatch}},
       {"ab", 0.1, {7, FuzzyMetric::kMismatch}}};
   std::vector<std::vector<Match>> outs;
-  const Status bst = tree_.QueryFuzzyBatch(batch, &outs);
+  const Status bst = tree_.QueryBatch(batch, &outs);
   EXPECT_TRUE(bst.IsNotSupported());
   EXPECT_NE(bst.message().find("batch query #1"), std::string::npos)
       << bst.message();

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -397,6 +398,67 @@ TEST(ServingEngineTest, FuzzyShardedResultsIdenticalToSynchronousPath) {
     ServingEngine::Result result = futures[i].get();
     EXPECT_EQ(result.status.code(), expected[i].status.code()) << i;
     EXPECT_TRUE(result.matches == expected[i].matches) << "query #" << i;
+  }
+}
+
+// One micro-batch mixing exact, k = 1 mismatch and k = 2 edit requests is
+// one QueryBatch call, on one shard and on four. With an empty pattern in
+// it, the batch fails validation and every request falls back on its own.
+TEST(ServingEngineTest, MixedExactAndFuzzyMicroBatchIsOneBatchCall) {
+  const UncertainString s = MakeString(300, 87);
+  Rng rng(88);
+  // Distinct requests, so none merges in flight and each is one execution.
+  std::vector<Request> queries;
+  std::set<std::string> seen;
+  for (int q = 0; queries.size() < 12; ++q) {
+    const size_t len = 2 + rng.Uniform(5);
+    Request query;
+    query.pattern = test::PatternFromString(
+        s, static_cast<int64_t>(rng.Uniform(s.size() - len + 1)), len,
+        rng.Next());
+    query.tau = (q % 2) ? 0.1 : 0.3;
+    query.k = q % 3;
+    query.metric = query.k == 2 ? FuzzyMetric::kEdit : FuzzyMetric::kMismatch;
+    const std::string key = query.pattern + "/" + std::to_string(q % 6);
+    if (seen.insert(key).second) queries.push_back(std::move(query));
+  }
+  const auto make_index = [&s](int32_t shards) {
+    return shards == 1 ? ShardedIndex::FromIndex(BuildMono(s))
+                       : BuildShardedIndex(s, 16);
+  };
+  for (const int32_t shards : {1, 4}) {
+    for (const bool with_invalid : {false, true}) {
+      std::vector<Request> batch = queries;
+      if (with_invalid) batch.push_back({"", 0.2});
+      const ShardedIndex reference = make_index(shards);
+      std::vector<Expected> expected(batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        expected[i].status = reference.QueryFuzzy(
+            batch[i].pattern, batch[i].tau,
+            FuzzyParams{batch[i].k, batch[i].metric}, &expected[i].matches);
+      }
+      // The worker dispatches once the whole batch is queued; the long
+      // linger only keeps a slow (sanitized, loaded) submitter from being
+      // cut into two micro-batches.
+      ServingOptions options;
+      options.cache_bytes = 0;
+      options.max_batch = static_cast<int32_t>(batch.size());
+      options.linger_us = 10'000'000;
+      options.num_workers = 1;
+      ServingEngine engine(make_index(shards), options);
+      auto futures = engine.SubmitBatch(batch);
+      ExpectIdentical(expected, &futures, batch);
+      const auto stats = engine.stats();
+      SCOPED_TRACE(std::to_string(shards) + " shard(s), invalid request: " +
+                   (with_invalid ? "yes" : "no"));
+      EXPECT_EQ(stats.batches, 1u);
+      EXPECT_EQ(stats.batched_queries, with_invalid ? 0u : batch.size());
+      EXPECT_EQ(stats.fallback_queries, with_invalid ? batch.size() : 0u);
+      EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.rejected);
+      EXPECT_EQ(stats.submitted, stats.cache_hits + stats.inflight_merges +
+                                     stats.batched_queries +
+                                     stats.fallback_queries);
+    }
   }
 }
 

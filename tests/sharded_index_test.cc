@@ -183,7 +183,7 @@ TEST(ShardedIndexTest, OneShardHasNoPatternLengthLimit) {
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0], BruteForceSearch(s, "abcabca", 0.5));
   ASSERT_TRUE(
-      sharded->QueryFuzzyBatch({{long_pattern, 0.5, edit}}, &batch).ok());
+      sharded->QueryBatch({{long_pattern, 0.5, edit}}, &batch).ok());
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0], want);
 }
